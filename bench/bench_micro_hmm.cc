@@ -24,7 +24,7 @@
 #include "core/acs.h"
 #include "hmm/discrete_hmm.h"
 #include "hmm/gaussian_hmm.h"
-#include "hmm/online_viterbi.h"
+#include "hmm/online_decoder.h"
 #include "hmm/quantizer.h"
 #include "hmm/scaled_kernel.h"
 #include "util/rng.h"
@@ -266,21 +266,27 @@ BENCHMARK(BM_ViterbiDecode)
     ->Args({10000, 0})
     ->Args({10000, 1});
 
-void BM_OnlineViterbiStep(benchmark::State& state) {
+// One streaming decode step (Viterbi frontier + forward filter). The
+// decoder keeps every backpointer row since its last reset, so the loop
+// resets it every kStepsPerReset steps — a long claim history between two
+// refits — to time the step rather than unbounded history growth.
+void BM_OnlineDecoderStep(benchmark::State& state) {
+  constexpr std::size_t kStepsPerReset = 1024;
   const DiscreteHmm hmm = make_truth_hmm(7);
-  OnlineViterbi online(hmm.core(), /*max_lag=*/8);
+  OnlineDecoder online(hmm.core());
   Rng rng(4);
   std::vector<double> log_emit(2);
   for (auto _ : state) {
+    if (online.steps() == kStepsPerReset) online.reset(hmm.core());
     const int symbol = static_cast<int>(rng.below(7));
     log_emit[0] = hmm.log_b(0, symbol);
     log_emit[1] = hmm.log_b(1, symbol);
-    online.step(log_emit);
+    online.step(hmm.core(), log_emit);
     benchmark::DoNotOptimize(online.current_state());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_OnlineViterbiStep);
+BENCHMARK(BM_OnlineDecoderStep);
 
 void BM_GaussianFit(benchmark::State& state) {
   const HmmEngine engine = engine_from_index(state.range(1));

@@ -70,7 +70,7 @@ TrainStats DiscreteHmm::fit_from_current(
     const BaumWelchOptions& options, HmmWorkspace& ws) {
   const int X = core_.num_states;
   const int Y = num_symbols_;
-  const HmmEngine engine = resolve_hmm_engine(options.engine);
+  const HmmEngine engine = options.engine;
   TrainStats stats;
   double prev_ll = kLogZero;
   std::size_t total_steps = 0;

@@ -31,10 +31,9 @@ struct BaumWelchOptions {
   bool update_emissions = true;
   bool update_pi = true;
 
-  // Arithmetic engine for the E-step kernels; kDefault resolves to the
-  // process-wide default (scaled) at fit time. kLogSpace re-runs training
+  // Arithmetic engine for the E-step kernels. kLogSpace re-runs training
   // through the reference log-space kernels (differential oracle).
-  HmmEngine engine = HmmEngine::kDefault;
+  HmmEngine engine = HmmEngine::kScaled;
 };
 
 struct TrainStats {

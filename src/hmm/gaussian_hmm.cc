@@ -73,7 +73,7 @@ TrainStats GaussianHmm::fit_from_current(
     const std::vector<std::vector<double>>& sequences,
     const BaumWelchOptions& options, HmmWorkspace& ws) {
   const int X = core_.num_states;
-  const HmmEngine engine = resolve_hmm_engine(options.engine);
+  const HmmEngine engine = options.engine;
   TrainStats stats;
   double prev_ll = kLogZero;
   std::size_t total_steps = 0;

@@ -1,7 +1,6 @@
 #include "hmm/hmm_core.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
@@ -10,26 +9,6 @@
 #include "hmm/scaled_kernel.h"
 
 namespace sstd {
-
-namespace {
-
-std::atomic<HmmEngine> g_default_engine{HmmEngine::kScaled};
-
-}  // namespace
-
-HmmEngine default_hmm_engine() {
-  return g_default_engine.load(std::memory_order_relaxed);
-}
-
-void set_default_hmm_engine(HmmEngine engine) {
-  g_default_engine.store(
-      engine == HmmEngine::kDefault ? HmmEngine::kScaled : engine,
-      std::memory_order_relaxed);
-}
-
-HmmEngine resolve_hmm_engine(HmmEngine engine) {
-  return engine == HmmEngine::kDefault ? default_hmm_engine() : engine;
-}
 
 HmmCore random_core(int num_states, Rng& rng, double concentration) {
   assert(num_states > 0);
@@ -187,7 +166,7 @@ std::vector<int> logspace_viterbi(const HmmCore& core,
 ForwardBackwardResult forward_backward(const HmmCore& core,
                                        const LogMatrix& log_emit,
                                        std::size_t T, HmmEngine engine) {
-  if (resolve_hmm_engine(engine) == HmmEngine::kLogSpace || T == 0) {
+  if (engine == HmmEngine::kLogSpace || T == 0) {
     return logspace_forward_backward(core, log_emit, T);
   }
   const int X = core.num_states;
@@ -224,7 +203,7 @@ ForwardBackwardResult forward_backward(const HmmCore& core,
 
 double log_likelihood(const HmmCore& core, const LogMatrix& log_emit,
                       std::size_t T, HmmEngine engine) {
-  if (resolve_hmm_engine(engine) == HmmEngine::kLogSpace || T == 0) {
+  if (engine == HmmEngine::kLogSpace || T == 0) {
     return logspace_log_likelihood(core, log_emit, T);
   }
   const int X = core.num_states;
@@ -238,7 +217,7 @@ double log_likelihood(const HmmCore& core, const LogMatrix& log_emit,
 
 std::vector<int> viterbi(const HmmCore& core, const LogMatrix& log_emit,
                          std::size_t T, HmmEngine engine) {
-  if (resolve_hmm_engine(engine) == HmmEngine::kLogSpace) {
+  if (engine == HmmEngine::kLogSpace) {
     return logspace_viterbi(core, log_emit, T);
   }
   return workspace_viterbi(core, log_emit, T, thread_local_hmm_workspace());

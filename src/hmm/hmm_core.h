@@ -38,7 +38,8 @@ HmmCore random_core(int num_states, Rng& rng, double concentration = 1.0);
 void save_hmm_core(const HmmCore& core, ByteWriter& out);
 void load_hmm_core(HmmCore* core, ByteReader& in);
 
-// Arithmetic engine behind the inference kernels (DESIGN.md §6).
+// Arithmetic engine behind the inference kernels (DESIGN.md §6), chosen
+// per call (or per fit through BaumWelchOptions::engine):
 //
 //   kScaled   — linear-space recursions with per-step scaling constants
 //               (Rabiner-style; src/hmm/scaled_kernel.h). The production
@@ -47,16 +48,7 @@ void load_hmm_core(HmmCore* core, ByteReader& in);
 //   kLogSpace — the original per-element log-sum-exp kernels, kept
 //               compiled as the reference oracle for differential testing
 //               and as the fallback when linear arithmetic underflows.
-//   kDefault  — resolve to the process-wide default at call time.
-enum class HmmEngine { kDefault = 0, kScaled, kLogSpace };
-
-// Process-wide default engine (kScaled unless overridden). Setting
-// kDefault restores the built-in default. Thread-safe.
-HmmEngine default_hmm_engine();
-void set_default_hmm_engine(HmmEngine engine);
-
-// kDefault -> default_hmm_engine(), anything else passes through.
-HmmEngine resolve_hmm_engine(HmmEngine engine);
+enum class HmmEngine { kScaled, kLogSpace };
 
 struct ForwardBackwardResult {
   LogMatrix log_alpha;  // T x X
@@ -73,11 +65,11 @@ struct ForwardBackwardResult {
 ForwardBackwardResult forward_backward(const HmmCore& core,
                                        const LogMatrix& log_emit,
                                        std::size_t T,
-                                       HmmEngine engine = HmmEngine::kDefault);
+                                       HmmEngine engine = HmmEngine::kScaled);
 
 // Total observation log-likelihood (forward pass only).
 double log_likelihood(const HmmCore& core, const LogMatrix& log_emit,
-                      std::size_t T, HmmEngine engine = HmmEngine::kDefault);
+                      std::size_t T, HmmEngine engine = HmmEngine::kScaled);
 
 // Most likely hidden state sequence (paper Eq. 6-8, Viterbi 1967). The
 // max-sum recursion is additions and comparisons only, so both engines run
@@ -85,7 +77,7 @@ double log_likelihood(const HmmCore& core, const LogMatrix& log_emit,
 // engine; kScaled merely reuses workspace buffers instead of allocating.
 std::vector<int> viterbi(const HmmCore& core, const LogMatrix& log_emit,
                          std::size_t T,
-                         HmmEngine engine = HmmEngine::kDefault);
+                         HmmEngine engine = HmmEngine::kScaled);
 
 // Posterior state marginals gamma[t*X + i] = P(s_t = i | obs), computed
 // from a forward/backward result. Used by the Baum-Welch M-steps.

@@ -53,7 +53,8 @@ std::vector<double> SstdBatch::claim_posterior(
     hmm.fit({acs}, config.train);
     hmm.canonicalize_truth_states();
     const LogMatrix log_emit = hmm.emission_log_probs(acs);
-    const auto fb = forward_backward(hmm.core(), log_emit, T);
+    const auto fb =
+        forward_backward(hmm.core(), log_emit, T, config.train.engine);
     const auto gamma = posterior_log_gamma(hmm.core(), fb, T);
     for (std::size_t k = 0; k < T; ++k) {
       posterior[k] = std::exp(gamma[k * 2 + 1]);
@@ -67,7 +68,8 @@ std::vector<double> SstdBatch::claim_posterior(
   hmm.fit({symbols}, config.train);
   hmm.canonicalize_truth_states();
   const LogMatrix log_emit = hmm.emission_log_probs(symbols);
-  const auto fb = forward_backward(hmm.core(), log_emit, T);
+  const auto fb =
+      forward_backward(hmm.core(), log_emit, T, config.train.engine);
   const auto gamma = posterior_log_gamma(hmm.core(), fb, T);
   for (std::size_t k = 0; k < T; ++k) {
     posterior[k] = std::exp(gamma[k * 2 + 1]);

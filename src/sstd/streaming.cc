@@ -61,6 +61,16 @@ SstdStreaming::SstdStreaming(SstdConfig config, TimestampMs interval_ms)
   ins_.cost_decode = costs.center("decode/viterbi");
 }
 
+SstdStreaming::~SstdStreaming() {
+  ins_.active_claims->add(-static_cast<double>(published_claims_));
+}
+
+void SstdStreaming::publish_active_claims() {
+  ins_.active_claims->add(static_cast<double>(pipelines_.size()) -
+                          static_cast<double>(published_claims_));
+  published_claims_ = pipelines_.size();
+}
+
 SstdStreaming::ClaimPipeline& SstdStreaming::pipeline_for(
     std::uint32_t claim) {
   auto it = pipelines_.find(claim);
@@ -68,12 +78,18 @@ SstdStreaming::ClaimPipeline& SstdStreaming::pipeline_for(
     it = pipelines_.emplace(claim, ClaimPipeline(window_ms_)).first;
     it->second.model = make_truth_hmm(config_.num_bins, config_.stickiness,
                                       config_.emission_bias);
-    it->second.decoder =
-        std::make_unique<OnlineViterbi>(it->second.model.core());
-    it->second.filter =
-        std::make_unique<OnlineForward>(it->second.model.core());
+    it->second.decoder.reset(it->second.model.core());
   }
   return it->second;
+}
+
+void SstdStreaming::decode_step(ClaimPipeline& pipeline, int symbol) {
+  const int X = pipeline.model.num_states();
+  log_emit_scratch_.resize(X);
+  for (int i = 0; i < X; ++i) {
+    log_emit_scratch_[i] = pipeline.model.log_b(i, symbol);
+  }
+  pipeline.decoder.step(pipeline.model.core(), log_emit_scratch_);
 }
 
 void SstdStreaming::offer(const Report& report) {
@@ -114,21 +130,12 @@ void SstdStreaming::refit(std::uint32_t claim, ClaimPipeline& pipeline,
     ++refits_;
     ins_.refits->inc();
 
-    // Restart the online decoder and filter (keeping their buffers) and
-    // replay the (short) symbol history through the refit model.
+    // Restart the online decoder (keeping its buffers) and replay the
+    // (short) symbol history through the refit model.
     const obs::CostScope replay_scope(ins_.cost_replay,
                                       obs::CostScope::kWallOnly);
-    pipeline.decoder->reset(pipeline.model.core());
-    pipeline.filter->reset(pipeline.model.core());
-    const int X = pipeline.model.num_states();
-    log_emit_scratch_.resize(X);
-    for (int symbol : symbols) {
-      for (int i = 0; i < X; ++i) {
-        log_emit_scratch_[i] = pipeline.model.log_b(i, symbol);
-      }
-      pipeline.decoder->step(log_emit_scratch_);
-      pipeline.filter->step(log_emit_scratch_);
-    }
+    pipeline.decoder.reset(pipeline.model.core());
+    for (int symbol : symbols) decode_step(pipeline, symbol);
   }
   ins_.refit_s->observe(watch.elapsed_seconds());
   if (span_traced) {
@@ -187,18 +194,11 @@ void SstdStreaming::end_interval(IntervalIndex k) {
     if (refit_round && pipeline.intervals_seen >= config_.warmup_intervals) {
       refit(claim_id, pipeline, k);
     } else {
-      const int symbol = quantizer_.quantize(value);
-      const int X = pipeline.model.num_states();
-      log_emit_scratch_.resize(X);
-      for (int i = 0; i < X; ++i) {
-        log_emit_scratch_[i] = pipeline.model.log_b(i, symbol);
-      }
-      pipeline.decoder->step(log_emit_scratch_);
-      pipeline.filter->step(log_emit_scratch_);
+      decode_step(pipeline, quantizer_.quantize(value));
     }
     const std::int8_t previous = pipeline.estimate;
     pipeline.estimate =
-        static_cast<std::int8_t>(pipeline.decoder->current_state());
+        static_cast<std::int8_t>(pipeline.decoder.current_state());
 
     // Provenance (ISSUE 8): every estimate flip — including the first
     // decision from kNoEstimate — lands in the decision ring with the
@@ -210,8 +210,8 @@ void SstdStreaming::end_interval(IntervalIndex k) {
       record.interval = static_cast<std::uint64_t>(k);
       record.old_estimate = previous;
       record.new_estimate = pipeline.estimate;
-      record.posterior = pipeline.filter->steps() > 0
-                             ? pipeline.filter->probability_true()
+      record.posterior = pipeline.decoder.steps() > 0
+                             ? pipeline.decoder.probability_true()
                              : 0.5;
       record.shard = shard_annotation_;
       record.refit_seq = refits_;
@@ -248,7 +248,7 @@ void SstdStreaming::end_interval(IntervalIndex k) {
     }
   }
   ins_.intervals_closed->inc();
-  ins_.active_claims->set(static_cast<double>(pipelines_.size()));
+  publish_active_claims();
 }
 
 std::int8_t SstdStreaming::current_estimate(ClaimId claim) const {
@@ -261,14 +261,16 @@ std::int8_t SstdStreaming::lagged_estimate(ClaimId claim,
                                            IntervalIndex lag) const {
   const auto it = pipelines_.find(claim.value);
   if (it == pipelines_.end()) return kNoEstimate;
-  const auto& decoder = *it->second.decoder;
+  const OnlineDecoder& decoder = it->second.decoder;
   if (decoder.steps() <= static_cast<std::size_t>(lag)) return kNoEstimate;
   return static_cast<std::int8_t>(
       decoder.lagged_state(static_cast<std::size_t>(lag)));
 }
 
 namespace {
-constexpr std::uint8_t kStreamStateVersion = 1;
+// 2: one decoder image per claim (no model core, no lag window); version 1
+// blobs are rejected, so recovery replays the WAL from the start.
+constexpr std::uint8_t kStreamStateVersion = 2;
 }  // namespace
 
 std::string SstdStreaming::save_state() const {
@@ -297,8 +299,7 @@ std::string SstdStreaming::save_state() const {
     p.acs.save(out);
     out.f64_vec(p.history);
     p.model.save(out);
-    p.decoder->save(out);
-    p.filter->save(out);
+    p.decoder.save(out);
     out.i8(p.estimate);
     out.i32(p.intervals_seen);
     out.i32(p.last_report_interval);
@@ -334,11 +335,8 @@ bool SstdStreaming::load_state(std::string_view blob) {
     p.acs.load(in);
     in.f64_vec(&p.history);
     p.model.load(in);
-    if (!in.ok()) return false;  // decoders need a valid core
-    p.decoder = std::make_unique<OnlineViterbi>(p.model.core());
-    p.filter = std::make_unique<OnlineForward>(p.model.core());
-    p.decoder->load(in);
-    p.filter->load(in);
+    if (!in.ok()) return false;  // the decoder needs a valid core
+    p.decoder.load(in, p.model.core());
     p.estimate = in.i8();
     p.intervals_seen = in.i32();
     p.last_report_interval = in.i32();
@@ -352,14 +350,14 @@ bool SstdStreaming::load_state(std::string_view blob) {
   refits_ = refits;
   evictions_ = evictions;
   pipelines_ = std::move(pipelines);
-  ins_.active_claims->set(static_cast<double>(pipelines_.size()));
+  publish_active_claims();
   return true;
 }
 
 double SstdStreaming::current_probability(ClaimId claim) const {
   const auto it = pipelines_.find(claim.value);
-  if (it == pipelines_.end() || it->second.filter->steps() == 0) return 0.5;
-  return it->second.filter->probability_true();
+  if (it == pipelines_.end() || it->second.decoder.steps() == 0) return 0.5;
+  return it->second.decoder.probability_true();
 }
 
 }  // namespace sstd

@@ -1,12 +1,12 @@
 // Streaming SSTD: the real-time form of the scheme (paper §III-E and Fig.
 // 5's "streaming schemes keep reading new data and process them as they
-// arrive"). Per claim it maintains a sliding ACS accumulator and an online
-// Viterbi decoder; models start from the informed truth prior and are
-// refit periodically on the accumulated observation history.
+// arrive"). Per claim it maintains a sliding ACS accumulator, a two-state
+// truth HMM and one OnlineDecoder (Viterbi frontier + forward filter) that
+// reads that model's core; models start from the informed truth prior and
+// are refit periodically on the accumulated observation history.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -15,8 +15,7 @@
 #include "core/acs.h"
 #include "core/truth_discovery.h"
 #include "hmm/discrete_hmm.h"
-#include "hmm/online_forward.h"
-#include "hmm/online_viterbi.h"
+#include "hmm/online_decoder.h"
 #include "hmm/quantizer.h"
 #include "hmm/scaled_kernel.h"
 #include "obs/cost.h"
@@ -31,6 +30,9 @@ class SstdStreaming final : public StreamingTruthDiscovery {
   // `interval_ms` must match the cadence at which end_interval() is called
   // (it sizes the default ACS window).
   SstdStreaming(SstdConfig config, TimestampMs interval_ms);
+  ~SstdStreaming() override;
+  SstdStreaming(const SstdStreaming&) = delete;
+  SstdStreaming& operator=(const SstdStreaming&) = delete;
 
   std::string name() const override { return "SSTD"; }
 
@@ -39,8 +41,8 @@ class SstdStreaming final : public StreamingTruthDiscovery {
   std::int8_t current_estimate(ClaimId claim) const override;
 
   // Soft estimate: filtering probability P(claim true | stream so far)
-  // from an online forward filter running beside the Viterbi decoder.
-  // 0.5 for claims with no evidence yet.
+  // from the forward half of the claim's decoder. 0.5 for claims with no
+  // evidence yet.
   double current_probability(ClaimId claim) const;
 
   // Fixed-lag smoothed estimate: the decoder's belief about the claim's
@@ -51,6 +53,10 @@ class SstdStreaming final : public StreamingTruthDiscovery {
   // decoded intervals.
   std::int8_t lagged_estimate(ClaimId claim, IntervalIndex lag) const;
 
+  // Claims with a live pipeline in this engine. The process-global
+  // stream.active_claims gauge is the sum of this count over every live
+  // engine: each engine adds the change in its own count at each interval
+  // close and state load, and takes its share back when destroyed.
   std::size_t active_claims() const { return pipelines_.size(); }
 
   // Total Baum-Welch refits performed (for tests/instrumentation).
@@ -61,8 +67,8 @@ class SstdStreaming final : public StreamingTruthDiscovery {
 
   // Durable state history (DESIGN.md §7): versioned byte-exact dump of the
   // whole engine — quantizer geometry, every per-claim pipeline (ACS
-  // window, history, model, decoder/filter frontiers, last decision) and
-  // the counters. Pipelines are written in claim-id order, so the image is
+  // window, history, model, decoder state, last decision) and the
+  // counters. Pipelines are written in claim-id order, so the image is
   // independent of hash-map iteration order and save → load → save is the
   // identity. load_state returns false (engine untouched) on malformed
   // input or a mismatch with this engine's configuration.
@@ -102,8 +108,7 @@ class SstdStreaming final : public StreamingTruthDiscovery {
     SlidingAcs acs;
     std::vector<double> history;  // per-interval ACS so far
     DiscreteHmm model;
-    std::unique_ptr<OnlineViterbi> decoder;
-    std::unique_ptr<OnlineForward> filter;
+    OnlineDecoder decoder;  // steps on model.core(); reset at each refit
     std::int8_t estimate = kNoEstimate;
     IntervalIndex intervals_seen = 0;
     IntervalIndex last_report_interval = 0;
@@ -135,6 +140,10 @@ class SstdStreaming final : public StreamingTruthDiscovery {
 
   ClaimPipeline& pipeline_for(std::uint32_t claim);
   void refit(std::uint32_t claim, ClaimPipeline& pipeline, IntervalIndex k);
+  // Feeds one quantized observation through the claim's decoder.
+  void decode_step(ClaimPipeline& pipeline, int symbol);
+  // Adds the change in this engine's claim count to stream.active_claims.
+  void publish_active_claims();
 
   Instruments ins_;
   RefitCrashHook crash_hook_;
@@ -147,6 +156,7 @@ class SstdStreaming final : public StreamingTruthDiscovery {
   TimestampMs latest_time_ = 0;
   std::uint64_t refits_ = 0;
   std::uint64_t evictions_ = 0;
+  std::size_t published_claims_ = 0;  // this engine's share of the gauge
   std::uint32_t shard_annotation_ = 0;
   std::uint64_t wal_lsn_annotation_ = 0;
   std::int64_t traced_claim_annotation_ = -1;

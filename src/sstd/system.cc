@@ -10,11 +10,6 @@
 
 namespace sstd {
 
-namespace {
-bool report_time_less(const Report& a, const Report& b) {
-  return a.time_ms < b.time_ms;
-}
-}  // namespace
 
 SstdSystem::SstdSystem(Config config, TimestampMs interval_ms)
     : config_(config),
@@ -84,31 +79,35 @@ void SstdSystem::ingest(const Report& report) {
   // the difference) and keeps the span ring from thrashing on roots no
   // chain would ever hang off.
   obs::TraceContext minted;
-  bool promoted = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.buffer.push_back(report);
-    // The stride counter only advances while the shard's batch is
-    // unrepresented, so a represented batch adds zero tracing work per
-    // report — not even the atomic.
-    if (config_.trace_sample_rate > 0.0 && !shard.pending_trace.valid()) {
-      const auto stride = static_cast<std::uint64_t>(
-          std::max(1.0, std::ceil(1.0 / config_.trace_sample_rate)));
-      if (trace_sample_seq_.fetch_add(1, std::memory_order_relaxed) %
-              stride ==
-          0) {
-        minted = obs::mint_trace(/*sampled=*/true);
-        shard.pending_trace = minted;
-        shard.pending_trace_claim = report.claim.value;
-        promoted = true;
-      }
-    }
+    minted = sample_trace_locked(shard, report.claim.value);
   }
-  if (promoted) {
+  if (minted.valid()) {
     record_ingest_span(minted, shard_index, report.claim.value);
   }
   std::lock_guard<std::mutex> lock(metrics_mutex_);
   ++metrics_.reports_ingested;
+}
+
+obs::TraceContext SstdSystem::sample_trace_locked(Shard& shard,
+                                                  std::uint64_t claim) {
+  // The stride counter only advances while the shard's batch is
+  // unrepresented, so a represented batch adds zero tracing work per
+  // report — not even the atomic.
+  if (config_.trace_sample_rate <= 0.0 || shard.pending_trace.valid()) {
+    return {};
+  }
+  const auto stride = static_cast<std::uint64_t>(
+      std::max(1.0, std::ceil(1.0 / config_.trace_sample_rate)));
+  if (trace_sample_seq_.fetch_add(1, std::memory_order_relaxed) % stride !=
+      0) {
+    return {};
+  }
+  shard.pending_trace = obs::mint_trace(/*sampled=*/true);
+  shard.pending_trace_claim = claim;
+  return shard.pending_trace;
 }
 
 void SstdSystem::record_ingest_span(const obs::TraceContext& minted,
@@ -175,21 +174,10 @@ void SstdSystem::ingest_batch(const Report* reports, std::size_t count) {
       std::lock_guard<std::mutex> lock(shard.mutex);
       for (const Report& report : bucket) {
         shard.buffer.push_back(report);
-        // Same deterministic stride sampling as the single-report path:
-        // the counter only advances while the shard's batch is
-        // unrepresented.
-        if (config_.trace_sample_rate > 0.0 && !shard.pending_trace.valid()) {
-          const auto stride = static_cast<std::uint64_t>(
-              std::max(1.0, std::ceil(1.0 / config_.trace_sample_rate)));
-          if (trace_sample_seq_.fetch_add(1, std::memory_order_relaxed) %
-                  stride ==
-              0) {
-            const obs::TraceContext minted =
-                obs::mint_trace(/*sampled=*/true);
-            shard.pending_trace = minted;
-            shard.pending_trace_claim = report.claim.value;
-            promotions.push_back({minted, s, report.claim.value});
-          }
+        const obs::TraceContext minted =
+            sample_trace_locked(shard, report.claim.value);
+        if (minted.valid()) {
+          promotions.push_back({minted, s, report.claim.value});
         }
       }
       bucket.clear();
@@ -220,18 +208,24 @@ void SstdSystem::install_crash_hook(std::size_t shard_index) {
       });
 }
 
+void SstdSystem::close_interval(std::vector<Report>& buffer,
+                                SstdStreaming& engine, IntervalIndex k) {
+  std::sort(buffer.begin(), buffer.end(),
+            [](const Report& a, const Report& b) {
+              return a.time_ms < b.time_ms;
+            });
+  for (const Report& report : buffer) engine.offer(report);
+  buffer.clear();
+  engine.end_interval(k);
+}
+
 void SstdSystem::run_shard_interval(std::size_t shard_index,
                                     IntervalIndex k) {
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.needs_recovery) recover_shard_locked(shard, shard_index);
   try {
-    std::sort(shard.buffer.begin(), shard.buffer.end(), report_time_less);
-    for (const Report& report : shard.buffer) {
-      shard.engine->offer(report);
-    }
-    shard.buffer.clear();
-    shard.engine->end_interval(k);
+    close_interval(shard.buffer, *shard.engine, k);
   } catch (const dist::ProcessKilled&) {
     // Killed mid-refit: the in-memory engine is in an undefined
     // half-trained state. Mark for rebuild and let the master's
@@ -287,13 +281,7 @@ void SstdSystem::recover_shard_locked(Shard& shard,
                                                         &interval)) {
                 break;
               }
-              std::sort(shard.buffer.begin(), shard.buffer.end(),
-                        report_time_less);
-              for (const Report& report : shard.buffer) {
-                engine->offer(report);
-              }
-              shard.buffer.clear();
-              engine->end_interval(interval);
+              close_interval(shard.buffer, *engine, interval);
               break;
             }
             default:
@@ -380,14 +368,8 @@ durable::RecoveryManager::Result SstdSystem::recover() {
     shards_[report.claim.value % shards_.size()]->buffer.push_back(report);
   };
   callbacks.on_interval_end = [this](IntervalIndex interval) {
-    for (auto& shard_ptr : shards_) {
-      Shard& shard = *shard_ptr;
-      std::sort(shard.buffer.begin(), shard.buffer.end(), report_time_less);
-      for (const Report& report : shard.buffer) {
-        shard.engine->offer(report);
-      }
-      shard.buffer.clear();
-      shard.engine->end_interval(interval);
+    for (auto& shard : shards_) {
+      close_interval(shard->buffer, *shard->engine, interval);
     }
   };
 

@@ -175,6 +175,14 @@ class SstdSystem {
     std::int64_t annotation_traced_claim = -1;
   };
 
+  // The one shard-interval cadence — sort the buffered reports by time,
+  // offer them, clear the buffer, close interval `k` — shared by live
+  // processing, per-shard crash recovery and node-restart replay, so
+  // replay reproduces live operation by construction (DESIGN.md §7
+  // replay invariant 2).
+  static void close_interval(std::vector<Report>& buffer,
+                             SstdStreaming& engine, IntervalIndex k);
+
   // One shard's TD work for interval `k` (the Work Queue task body):
   // recover the engine if a previous attempt was crash-killed, then sort +
   // offer the buffered reports and close the interval. ProcessKilled from
@@ -189,6 +197,12 @@ class SstdSystem {
   // Installs the crash-kill chaos hook on a shard's (possibly rebuilt)
   // engine; no-op when the fault plan is empty.
   void install_crash_hook(std::size_t shard_index);
+
+  // Deterministic ingest trace sampling (shared by the single and batched
+  // ingest paths; caller holds shard.mutex): every ⌈1/rate⌉-th report is
+  // a candidate, and a candidate whose shard has no pending trace mints
+  // one. Returns the minted context, invalid when none was minted.
+  obs::TraceContext sample_trace_locked(Shard& shard, std::uint64_t claim);
 
   // Records the kIngest root span of a freshly minted shard trace (shared
   // by the single and batched ingest paths).

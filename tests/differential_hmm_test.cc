@@ -212,17 +212,11 @@ TEST(DifferentialHmm, GaussianEmissionsMatchIncludingFarTails) {
   }
 }
 
-TEST(DifferentialHmm, DefaultEngineIsScaledAndFlippable) {
-  EXPECT_EQ(default_hmm_engine(), HmmEngine::kScaled);
-  EXPECT_EQ(resolve_hmm_engine(HmmEngine::kDefault), HmmEngine::kScaled);
-  EXPECT_EQ(resolve_hmm_engine(HmmEngine::kLogSpace), HmmEngine::kLogSpace);
-
-  set_default_hmm_engine(HmmEngine::kLogSpace);
-  EXPECT_EQ(resolve_hmm_engine(HmmEngine::kDefault), HmmEngine::kLogSpace);
-
-  // kDefault restores the built-in default.
-  set_default_hmm_engine(HmmEngine::kDefault);
-  EXPECT_EQ(default_hmm_engine(), HmmEngine::kScaled);
+// Engine selection is per call: training defaults to the scaled kernels,
+// and the log-space oracle runs only where a caller names it.
+TEST(DifferentialHmm, DefaultEngineIsScaled) {
+  EXPECT_EQ(BaumWelchOptions{}.engine, HmmEngine::kScaled);
+  EXPECT_EQ(SstdConfig{}.train.engine, HmmEngine::kScaled);
 }
 
 // The workspace arena is single-owner state; SstdSystem gives every shard

@@ -444,6 +444,29 @@ TEST(StreamingState, LoadRejectsGarbageAndConfigMismatch) {
   EXPECT_EQ(target.save_state(), before);
 }
 
+TEST(StreamingState, LoadRejectsVersionOneBlob) {
+  // Version 1 images carried three copies of each claim's transition core
+  // (model, Viterbi decoder, forward filter). They are not read: the load
+  // fails and recovery replays the WAL from the start instead.
+  SstdConfig config;
+  SstdStreaming source(config, 1000);
+  source.offer(make_report(1, 3, 10, 1));
+  source.end_interval(0);
+  std::string blob = source.save_state();
+  ASSERT_FALSE(blob.empty());
+  ASSERT_EQ(static_cast<std::uint8_t>(blob[0]), 2u);
+  blob[0] = static_cast<char>(1);
+
+  SstdStreaming target(config, 1000);
+  target.offer(make_report(2, 7, 10, -1));
+  target.end_interval(0);
+  const std::string before = target.save_state();
+  EXPECT_FALSE(target.load_state(blob));
+  EXPECT_EQ(target.save_state(), before);
+  EXPECT_EQ(target.active_claims(), 1u);
+  EXPECT_EQ(target.current_estimate(ClaimId{3}), kNoEstimate);
+}
+
 // --- recovery manager ---------------------------------------------------
 
 RecoveryManager::Callbacks counting_callbacks(int* snapshots,

@@ -7,9 +7,10 @@
 // behavior shows up as a diff here before it shows up in a paper table.
 //
 // Because Viterbi is additions/comparisons in log space under BOTH
-// arithmetic engines, flipping the default engine must leave every golden
-// byte-identical — asserted below, and relied on when regenerating (see
-// tests/golden/README.md). Legitimate regeneration:
+// arithmetic engines, training through the log-space oracle
+// (config.train.engine) must leave every golden byte-identical — asserted
+// below, and relied on when regenerating (see tests/golden/README.md).
+// Legitimate regeneration:
 //
 //   ./golden_regression_test --update-golden
 #include <gtest/gtest.h>
@@ -78,10 +79,11 @@ char estimate_char(std::int8_t estimate) {
 }
 
 // Canonical text form: deterministic, engine-independent, diff-friendly.
-std::string render(const GoldenScenario& scenario) {
+std::string render(const GoldenScenario& scenario,
+                   const SstdConfig& config = {}) {
   trace::TraceGenerator generator(scenario.config);
   const Dataset data = generator.generate();
-  SstdBatch scheme;
+  SstdBatch scheme(config);
   const EstimateMatrix estimates = scheme.run(data);
 
   EvalOptions eval;
@@ -153,16 +155,12 @@ TEST(GoldenRegression, FlipHeavyScenarioMatchesGolden) {
 // must render every scenario byte-identically — decoding behavior is an
 // engine-independent contract, not a numerical accident we tolerate.
 TEST(GoldenRegression, LogSpaceEngineRendersByteIdenticalOutput) {
-  struct EngineGuard {
-    ~EngineGuard() { set_default_hmm_engine(HmmEngine::kDefault); }
-  } guard;
-
+  SstdConfig logspace_config;
+  logspace_config.train.engine = HmmEngine::kLogSpace;
   for (const auto& scenario : golden_scenarios()) {
     SCOPED_TRACE(scenario.name);
-    set_default_hmm_engine(HmmEngine::kDefault);
     const std::string scaled = render(scenario);
-    set_default_hmm_engine(HmmEngine::kLogSpace);
-    const std::string logspace = render(scenario);
+    const std::string logspace = render(scenario, logspace_config);
     EXPECT_EQ(scaled, logspace);
   }
 }

@@ -9,8 +9,7 @@
 #include "hmm/gaussian_hmm.h"
 #include "hmm/hmm_core.h"
 #include "hmm/logspace.h"
-#include "hmm/online_forward.h"
-#include "hmm/online_viterbi.h"
+#include "hmm/online_decoder.h"
 #include "hmm/quantizer.h"
 #include "util/rng.h"
 
@@ -280,6 +279,8 @@ TEST(Quantizer, SeriesIntoReusesCallerBuffer) {
   EXPECT_EQ(q.quantize_series({-3.0, 0.0, 3.0}), out);
 }
 
+// OnlineViterbi.* cases test the Viterbi half of OnlineDecoder and
+// OnlineForward.* cases its forward-filter half.
 TEST(OnlineViterbi, MatchesBatchViterbiFiltered) {
   // The online decoder's full traceback after consuming the sequence must
   // equal batch Viterbi.
@@ -287,10 +288,10 @@ TEST(OnlineViterbi, MatchesBatchViterbiFiltered) {
   const std::vector<int> obs{0, 1, 1, 0, 1, 0, 0, 1, 1, 1};
   const auto batch = hmm.decode(obs);
 
-  OnlineViterbi online(hmm.core());
+  OnlineDecoder online(hmm.core());
   for (int y : obs) {
     std::vector<double> log_emit{hmm.log_b(0, y), hmm.log_b(1, y)};
-    online.step(log_emit);
+    online.step(hmm.core(), log_emit);
   }
   EXPECT_EQ(online.traceback(), batch);
   EXPECT_EQ(online.current_state(), batch.back());
@@ -299,9 +300,9 @@ TEST(OnlineViterbi, MatchesBatchViterbiFiltered) {
 TEST(OnlineViterbi, LaggedStateReadsBackwards) {
   DiscreteHmm hmm = make_simple_model();
   const std::vector<int> obs{0, 0, 1, 1};
-  OnlineViterbi online(hmm.core());
+  OnlineDecoder online(hmm.core());
   for (int y : obs) {
-    online.step({hmm.log_b(0, y), hmm.log_b(1, y)});
+    online.step(hmm.core(), {hmm.log_b(0, y), hmm.log_b(1, y)});
   }
   const auto path = online.traceback();
   EXPECT_EQ(online.lagged_state(0), path[3]);
@@ -310,37 +311,28 @@ TEST(OnlineViterbi, LaggedStateReadsBackwards) {
   EXPECT_THROW(online.lagged_state(4), std::out_of_range);
 }
 
-TEST(OnlineViterbi, BoundedLagTrimsHistory) {
-  DiscreteHmm hmm = make_simple_model();
-  OnlineViterbi online(hmm.core(), /*max_lag=*/2);
-  for (int t = 0; t < 50; ++t) {
-    const int y = t % 2;
-    online.step({hmm.log_b(0, y), hmm.log_b(1, y)});
-  }
-  EXPECT_EQ(online.traceback().size(), 3u);  // max_lag + 1
-  EXPECT_NO_THROW(online.lagged_state(2));
-  EXPECT_THROW(online.lagged_state(3), std::out_of_range);
-}
-
 TEST(OnlineViterbi, LongStreamStaysFinite) {
-  // Frontier renormalization must prevent -inf/NaN drift over long streams.
+  // Frontier renormalization must prevent -inf/NaN drift over long
+  // streams; the traceback stays a valid path over the whole history.
   DiscreteHmm hmm = make_simple_model();
-  OnlineViterbi online(hmm.core(), 4);
+  OnlineDecoder online(hmm.core());
   Rng rng(8);
   for (int t = 0; t < 100000; ++t) {
     const int y = rng.bernoulli(0.5) ? 1 : 0;
-    online.step({hmm.log_b(0, y), hmm.log_b(1, y)});
+    online.step(hmm.core(), {hmm.log_b(0, y), hmm.log_b(1, y)});
   }
   EXPECT_NO_FATAL_FAILURE(online.current_state());
+  EXPECT_EQ(online.traceback().size(), 100000u);
+  EXPECT_TRUE(std::isfinite(online.probability_true()));
 }
 
 TEST(OnlineViterbi, LagWindowLargerThanStreamIsBounded) {
-  // A lag window far beyond the observations actually seen: reads up to
+  // Lags far beyond the observations actually seen: reads up to
   // steps() - 1 work, anything past the real stream throws.
   DiscreteHmm hmm = make_simple_model();
-  OnlineViterbi online(hmm.core(), /*max_lag=*/64);
+  OnlineDecoder online(hmm.core());
   for (int y : {0, 1, 1}) {
-    online.step({hmm.log_b(0, y), hmm.log_b(1, y)});
+    online.step(hmm.core(), {hmm.log_b(0, y), hmm.log_b(1, y)});
   }
   EXPECT_EQ(online.steps(), 3u);
   EXPECT_NO_THROW(online.lagged_state(2));
@@ -350,7 +342,7 @@ TEST(OnlineViterbi, LagWindowLargerThanStreamIsBounded) {
 
 TEST(OnlineViterbi, EmptyStreamHasNoState) {
   DiscreteHmm hmm = make_simple_model();
-  const OnlineViterbi online(hmm.core());
+  const OnlineDecoder online(hmm.core());
   EXPECT_EQ(online.steps(), 0u);
   EXPECT_TRUE(online.traceback().empty());
   EXPECT_THROW(online.current_state(), std::logic_error);
@@ -359,30 +351,32 @@ TEST(OnlineViterbi, EmptyStreamHasNoState) {
 
 TEST(OnlineViterbi, ResetMatchesFreshDecoder) {
   // reset() (the streaming-refit path) must leave no trace of the previous
-  // stream: a reused decoder and a fresh one decode identically.
+  // stream: a reused decoder and a fresh one decode and filter
+  // identically.
   DiscreteHmm hmm = make_simple_model();
-  OnlineViterbi reused(hmm.core(), 4);
+  OnlineDecoder reused(hmm.core());
   for (int t = 0; t < 20; ++t) {
     const int y = t % 2;
-    reused.step({hmm.log_b(0, y), hmm.log_b(1, y)});
+    reused.step(hmm.core(), {hmm.log_b(0, y), hmm.log_b(1, y)});
   }
   reused.reset(hmm.core());
   EXPECT_EQ(reused.steps(), 0u);
 
-  OnlineViterbi fresh(hmm.core(), 4);
+  OnlineDecoder fresh(hmm.core());
   for (int y : {1, 0, 0, 1, 1, 0, 1}) {
-    reused.step({hmm.log_b(0, y), hmm.log_b(1, y)});
-    fresh.step({hmm.log_b(0, y), hmm.log_b(1, y)});
+    reused.step(hmm.core(), {hmm.log_b(0, y), hmm.log_b(1, y)});
+    fresh.step(hmm.core(), {hmm.log_b(0, y), hmm.log_b(1, y)});
   }
   EXPECT_EQ(reused.traceback(), fresh.traceback());
   EXPECT_EQ(reused.current_state(), fresh.current_state());
+  EXPECT_EQ(reused.probability_true(), fresh.probability_true());
 }
 
 TEST(OnlineForward, ResetRestoresUniformPrior) {
   DiscreteHmm hmm = make_simple_model();
-  OnlineForward filter(hmm.core());
+  OnlineDecoder filter(hmm.core());
   for (int y : {1, 1, 1}) {
-    filter.step({hmm.log_b(0, y), hmm.log_b(1, y)});
+    filter.step(hmm.core(), {hmm.log_b(0, y), hmm.log_b(1, y)});
   }
   EXPECT_NE(filter.probability_true(), 0.5);
   filter.reset(hmm.core());

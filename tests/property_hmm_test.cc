@@ -9,7 +9,7 @@
 
 #include "hmm/discrete_hmm.h"
 #include "hmm/logspace.h"
-#include "hmm/online_viterbi.h"
+#include "hmm/online_decoder.h"
 #include "util/rng.h"
 
 namespace sstd {
@@ -130,12 +130,12 @@ TEST_P(RandomHmmProperty, OnlineViterbiTracebackEqualsBatch) {
   const auto obs = make_observations(40);
   const auto batch = hmm.decode(obs);
 
-  OnlineViterbi online(hmm.core());
+  OnlineDecoder online(hmm.core());
   const int X = hmm.num_states();
   std::vector<double> log_emit(X);
   for (int symbol : obs) {
     for (int i = 0; i < X; ++i) log_emit[i] = hmm.log_b(i, symbol);
-    online.step(log_emit);
+    online.step(hmm.core(), log_emit);
   }
   EXPECT_EQ(online.traceback(), batch);
 }

@@ -7,7 +7,7 @@
 #include "core/metrics.h"
 #include "hmm/discrete_hmm.h"
 #include "hmm/logspace.h"
-#include "hmm/online_forward.h"
+#include "hmm/online_decoder.h"
 #include "sstd/batch.h"
 #include "sstd/streaming.h"
 #include "trace/generator.h"
@@ -36,27 +36,28 @@ std::vector<double> emit_log(const DiscreteHmm& hmm, int symbol) {
   return {hmm.log_b(0, symbol), hmm.log_b(1, symbol)};
 }
 
+// The forward-filter half of OnlineDecoder.
 TEST(OnlineForward, MatchesHandComputedFilter) {
   const DiscreteHmm hmm = simple_model();
-  OnlineForward filter(hmm.core());
+  OnlineDecoder filter(hmm.core());
   // After one observation of symbol 1:
   // alpha = pi .* b(:,1) = (0.5*0.1, 0.5*0.9) -> P(s=1) = 0.9.
-  filter.step(emit_log(hmm, 1));
+  filter.step(hmm.core(), emit_log(hmm, 1));
   EXPECT_NEAR(filter.probability_true(), 0.9, 1e-12);
 
   // Second observation symbol 1:
   // predict: p0 = 0.1*0.8 + 0.9*0.2 = 0.26; p1 = 0.1*0.2 + 0.9*0.8 = 0.74
   // update:  (0.26*0.1, 0.74*0.9) -> P(s=1) = 0.666/(0.026+0.666).
-  filter.step(emit_log(hmm, 1));
+  filter.step(hmm.core(), emit_log(hmm, 1));
   EXPECT_NEAR(filter.probability_true(), 0.666 / 0.692, 1e-9);
 }
 
 TEST(OnlineForward, ProbabilitiesAlwaysNormalized) {
   const DiscreteHmm hmm = simple_model();
-  OnlineForward filter(hmm.core());
+  OnlineDecoder filter(hmm.core());
   Rng rng(3);
   for (int t = 0; t < 1000; ++t) {
-    filter.step(emit_log(hmm, rng.bernoulli(0.5) ? 1 : 0));
+    filter.step(hmm.core(), emit_log(hmm, rng.bernoulli(0.5) ? 1 : 0));
     const double p0 = filter.probability(0);
     const double p1 = filter.probability(1);
     ASSERT_NEAR(p0 + p1, 1.0, 1e-9);
@@ -69,8 +70,8 @@ TEST(OnlineForward, AgreesWithBatchForwardMarginal) {
   // Filtering marginal at the last step equals alpha_T normalized.
   const DiscreteHmm hmm = simple_model();
   const std::vector<int> obs{1, 0, 1, 1, 0, 0, 1};
-  OnlineForward filter(hmm.core());
-  for (int symbol : obs) filter.step(emit_log(hmm, symbol));
+  OnlineDecoder filter(hmm.core());
+  for (int symbol : obs) filter.step(hmm.core(), emit_log(hmm, symbol));
 
   const auto log_emit = hmm.emission_log_probs(obs);
   const auto fb = forward_backward(hmm.core(), log_emit, obs.size());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
+#include "obs/metrics.h"
 #include "sstd/system.h"
 #include "trace/generator.h"
 
@@ -101,6 +102,43 @@ TEST(SstdSystem, MatchesShardedReferenceEngines) {
           << "claim " << u << " interval " << k;
     }
   }
+}
+
+TEST(SstdSystem, ActiveClaimsGaugeSumsOverShards) {
+  // stream.active_claims is process-global and every shard engine feeds
+  // it: the gauge must read the node's live-claim total, not the count of
+  // whichever shard happened to close its interval last.
+  obs::Gauge* gauge =
+      obs::MetricsRegistry::global().gauge("stream.active_claims");
+  const double before = gauge->value();
+  trace::TraceGenerator generator(
+      trace::tiny(trace::boston_bombing(), 20'000, 64));
+  const Dataset data = generator.generate();
+  {
+    SstdSystem::Config config = small_system();
+    config.num_jobs = 8;
+    config.sstd.evict_after_idle_intervals = 0;  // every claim stays live
+    SstdSystem system(config, data.interval_ms());
+    const auto& reports = data.reports();
+    std::size_t next = 0;
+    for (IntervalIndex k = 0; k < 10; ++k) {
+      const TimestampMs end =
+          static_cast<TimestampMs>(k + 1) * data.interval_ms();
+      while (next < reports.size() && reports[next].time_ms < end) {
+        system.ingest(reports[next]);
+        ++next;
+      }
+      system.end_interval(k);
+    }
+    std::uint32_t answered = 0;
+    for (std::uint32_t u = 0; u < data.num_claims(); ++u) {
+      if (system.estimate(ClaimId{u}) != kNoEstimate) ++answered;
+    }
+    ASSERT_GT(answered, 8u);  // more claims than shards
+    EXPECT_EQ(gauge->value() - before, static_cast<double>(answered));
+  }
+  // Destroyed engines take their share back.
+  EXPECT_EQ(gauge->value(), before);
 }
 
 TEST(SstdSystem, TightDeadlinesTriggerScaleUp) {
